@@ -2,10 +2,11 @@
 
 // Deterministic virtual-time execution engine.
 //
-// Each simulated rank runs its program on a dedicated OS thread, but the
-// engine admits exactly one execution lane at a time: always the runnable
-// lane with the smallest (virtual time, rank id, track id) key. Lanes
-// consume virtual time via Context::advance() and block on conditions via
+// Each execution lane is a stackful fiber on the thread that calls
+// Engine::run(), and the engine admits exactly one lane at a time: always
+// the runnable lane with the smallest (virtual time, rank id, track id)
+// key, to which a yielding lane switches directly. Lanes consume virtual
+// time via Context::advance() and block on conditions via
 // Context::wait_until(), whose predicate reports the earliest virtual time
 // the condition holds.
 //
@@ -19,18 +20,18 @@
 // engine.
 //
 // Because execution is serialized in global virtual-time order, shared
-// simulation state (queues, adapters, memory) needs no further locking and
-// every run is bit-reproducible. If every unfinished lane is blocked with
-// no predicate ready, the engine raises a deadlock error on all ranks.
+// simulation state (queues, adapters, memory) needs no locking and every
+// run is bit-reproducible. If every unfinished lane is blocked with no
+// predicate ready, the engine raises a deadlock error on all ranks.
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ibp/common/check.hpp"
@@ -166,9 +167,11 @@ class Engine {
     TimePs time = 0;
     State state = State::NotStarted;
     std::function<std::optional<TimePs>()> pred;  // valid while Blocked
-    std::condition_variable cv;
-    bool active = false;   // this track's thread may run right now
-    std::thread thread;    // spawned tracks only (track 0 joins in run())
+    std::function<void(Context&)> fn;  // the lane's program, until entered
+    ucontext_t uc;                     // registers while switched out
+    void* stack = nullptr;             // null until the lane first runs
+    std::size_t stack_size = 0;
+    void* tsan_fiber = nullptr;        // ThreadSanitizer's fiber handle
   };
 
   struct RankState {
@@ -187,21 +190,27 @@ class Engine {
   TrackId spawn_track(RankId r, std::function<void(Context&)> fn);
   void join_track(RankId r, TrackId t);
 
-  /// Body of a spawned track's OS thread.
-  void track_body(RankId r, TrackId t, const std::function<void(Context&)>& fn);
+  /// Rank `r`'s current lane, which must be the one executing.
+  TrackState& running_lane(RankId r, const char* what);
 
-  /// Pick and wake the next lane; caller holds mu_ and has already cleared
-  /// its own `active` flag (or finished).
-  void schedule_next(std::unique_lock<std::mutex>& lock);
+  /// Pick the next lane and mark it running; main_ once no lane is left
+  /// or the run aborted.
+  TrackState& schedule_next();
 
-  /// Wait (on the track's cv) until it is this track's turn or the run
-  /// aborted.
-  void await_turn(std::unique_lock<std::mutex>& lock, RankId r, TrackId t);
+  /// Suspend `from` (never to resume if `finished`) and resume `to`. A
+  /// lane resumed after an abort throws AbortSignal to unwind.
+  void switch_to(TrackState& from, TrackState& to, bool finished = false);
 
-  void abort_all(std::unique_lock<std::mutex>& lock, std::exception_ptr err);
+  void make_fiber(TrackState& ts);
+  void release_fiber(TrackState& ts);
+  static void fiber_main(unsigned lo, unsigned hi);  // halves of `this`
+  void lane_main();
+
+  void abort_all(std::exception_ptr err);
 
   std::vector<RankState> ranks_;
-  std::mutex mu_;
+  RankId running_rank_ = -1;  // rank of the executing lane; -1 in run()
+  TrackState main_;  // run()'s own stack, where the run starts and ends
   std::exception_ptr error_;
   bool aborted_ = false;
 

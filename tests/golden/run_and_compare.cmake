@@ -1,7 +1,8 @@
 # Runs a bench with --short --json=<tmp> and byte-compares the JSON
-# against a checked-in golden file. Used by the rpc_loadgen_t1_golden
-# test to pin the T=1 / single-track output: the threading refactor must
-# keep legacy single-threaded runs bit-identical.
+# against a checked-in golden file. The rpc_loadgen_t1_golden test pins
+# the T=1 / single-track RPC loadgen output; thread_scale_golden pins the
+# multi-track schedules of ext_thread_scale. A refactor that must not
+# change results keeps both byte-identical.
 #
 # Arguments (via -D):
 #   BIN     — bench executable
@@ -21,6 +22,6 @@ execute_process(
   RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR
-          "${OUT} differs from golden ${GOLDEN}: the single-track output "
-          "is no longer byte-identical")
+          "${OUT} differs from golden ${GOLDEN}: the bench output is no "
+          "longer byte-identical to the committed golden")
 endif()

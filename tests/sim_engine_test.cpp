@@ -4,6 +4,8 @@
 
 #include <deque>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -113,6 +115,79 @@ TEST(Engine, RankErrorPropagates) {
     if (ctx.rank() == 1) throw SimError("rank 1 exploded");
   }),
                SimError);
+}
+
+TEST(Engine, RethrowInsideHandlerAcrossSwitches) {
+  // Both ranks sit inside their own catch handler across lane switches,
+  // rank 0 resuming first; a bare `throw;` must rethrow the rank's own
+  // exception, not whichever one the host thread caught last.
+  Engine eng(2);
+  std::vector<std::string> got(2);
+  eng.run([&got](Context& ctx) {
+    const RankId r = ctx.rank();
+    try {
+      try {
+        throw std::runtime_error("rank " + std::to_string(r));
+      } catch (const std::runtime_error&) {
+        ctx.advance(ns(r == 0 ? 10 : 20));
+        throw;
+      }
+    } catch (const std::runtime_error& e) {
+      got[static_cast<std::size_t>(r)] = e.what();
+    }
+  });
+  EXPECT_EQ(got[0], "rank 0");
+  EXPECT_EQ(got[1], "rank 1");
+}
+
+// Counts its own destruction and owns heap memory, so a lane stack that is
+// never unwound also shows up as a leak under LeakSanitizer.
+struct UnwindProbe {
+  explicit UnwindProbe(int* dtors) : dtors(dtors), heap(64, 0) {}
+  ~UnwindProbe() { ++*dtors; }
+  int* dtors;
+  std::vector<int> heap;
+};
+
+// Every rank and one never-joined track per rank end up suspended when
+// the run aborts, either because the last rank throws or because all
+// lanes block for good.
+void expect_abort_unwinds_every_lane_once(bool deadlock) {
+  constexpr int kRanks = 3;
+  int rank_dtors = 0;
+  int track_dtors = 0;
+  int unscheduled_bodies = 0;
+  const auto never = []() -> std::optional<TimePs> { return std::nullopt; };
+  Engine eng(kRanks);
+  auto program = [&](Context& ctx) {
+    UnwindProbe probe(&rank_dtors);
+    ctx.spawn_track([&](Context& c) {
+      UnwindProbe track_probe(&track_dtors);
+      c.wait_until(never);
+    });
+    ctx.advance(us(1));
+    if (!deadlock && ctx.rank() == kRanks - 1) {
+      // Spawned in the failing turn: the scheduler never gets to it.
+      ctx.spawn_track([&](Context&) { ++unscheduled_bodies; });
+      throw std::logic_error("rank failed");
+    }
+    ctx.wait_until(never);
+  };
+  if (deadlock)
+    EXPECT_THROW(eng.run(program), SimError);
+  else
+    EXPECT_THROW(eng.run(program), std::logic_error);
+  EXPECT_EQ(rank_dtors, kRanks);
+  EXPECT_EQ(track_dtors, kRanks);
+  EXPECT_EQ(unscheduled_bodies, 0);
+}
+
+TEST(Engine, RankErrorUnwindsSuspendedLanesOnce) {
+  expect_abort_unwinds_every_lane_once(/*deadlock=*/false);
+}
+
+TEST(Engine, DeadlockUnwindsSuspendedLanesOnce) {
+  expect_abort_unwinds_every_lane_once(/*deadlock=*/true);
 }
 
 TEST(Engine, MessagePingPong) {
