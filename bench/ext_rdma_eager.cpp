@@ -42,15 +42,6 @@ namespace {
 
 enum class Tier { TwoSided, RdmaEager, UdEager };
 
-const char* tier_name(Tier t) {
-  switch (t) {
-    case Tier::TwoSided: return "two-sided";
-    case Tier::RdmaEager: return "rdma-eager";
-    case Tier::UdEager: return "ud-eager";
-  }
-  return "?";
-}
-
 /// Half-round-trip latency of a ping-pong at `bytes`, averaged over the
 /// measured iterations (after warmup), on rank 1's clock.
 TimePs ping_pong(Tier tier, std::uint32_t bytes, bool hugepages,

@@ -791,7 +791,9 @@ void FabricClient::wait_some() {
 std::vector<rpc::Completion> FabricClient::take_completions() {
   std::vector<rpc::Completion> out;
   out.reserve(fresh_.size());
-  for (const rpc::Completion* c : fresh_) out.push_back(*c);
+  // Moving leaves id, status and latency in the kept record; only the
+  // payload leaves.
+  for (rpc::Completion* c : fresh_) out.push_back(std::move(*c));
   fresh_.clear();
   return out;
 }

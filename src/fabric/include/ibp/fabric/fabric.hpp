@@ -239,8 +239,13 @@ class FabricClient {
 
   void poll();
   bool completed(std::uint64_t id) const { return done_.count(id) != 0; }
+  /// Block until `id` completes; returns its record, owned by the client.
+  /// The payload is there until take_completions() hands the record over;
+  /// id, status and latency stay for the client's lifetime.
   const rpc::Completion& wait(std::uint64_t id);
   void wait_some();
+  /// Completions (in completion order) since the previous call. Each
+  /// payload moves to the caller; the client keeps no response bytes.
   std::vector<rpc::Completion> take_completions();
   void drain();
   void close();
@@ -362,7 +367,7 @@ class FabricClient {
   std::map<std::uint64_t, Stripe> stripes_;
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, rpc::Completion> done_;
-  std::deque<const rpc::Completion*> fresh_;
+  std::deque<rpc::Completion*> fresh_;
   FabricClientStats stats_;
   LogHistogram lat_;
   std::vector<telemetry::ProbeHandle> probes_;

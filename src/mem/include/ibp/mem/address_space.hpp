@@ -3,13 +3,17 @@
 // Per-rank simulated virtual address space.
 //
 // A mapping is a contiguous virtual range backed by frames of one page
-// size. Host backing for each mapping is a single contiguous allocation so
-// workloads get real pointers for computation, while the translation model
-// (page tables, pinning, NIC translations) operates on the simulated
-// frames. Small and huge mappings live in disjoint virtual regions so a
-// bare virtual address identifies its page size.
+// size. Each mapping owns one contiguous block of lazily zeroed host
+// memory (calloc), so workloads get real pointers for computation while
+// the translation model (page tables, pinning, NIC translations) operates
+// on the simulated frames. Large blocks come straight from the host
+// kernel's zero pages and cost host memory only once written, so a big
+// mapping that only the CPU/TLB model walks stays almost free. Small and
+// huge mappings live in disjoint virtual regions so a bare virtual
+// address identifies its page size.
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <span>
@@ -32,13 +36,18 @@ constexpr std::uint64_t page_size_of(PageKind k) {
 inline constexpr VirtAddr kSmallRegionBase = 0x0000'1000'0000'0000ull;
 inline constexpr VirtAddr kHugeRegionBase = 0x0000'2000'0000'0000ull;
 
+/// Releases calloc'd host backing.
+struct FreeDeleter {
+  void operator()(std::uint8_t* p) const { std::free(p); }
+};
+
 struct Mapping {
   VirtAddr va_base = 0;
   std::uint64_t length = 0;  // bytes, multiple of page size
   PageKind kind = PageKind::Small;
   std::vector<PhysAddr> frames;      // one per page
   std::vector<std::uint32_t> pins;   // pin count per page
-  std::vector<std::uint8_t> backing; // host data, contiguous
+  std::unique_ptr<std::uint8_t[], FreeDeleter> backing;  // host data, zeroed
 
   std::uint64_t page_size() const { return page_size_of(kind); }
   std::uint64_t npages() const { return frames.size(); }

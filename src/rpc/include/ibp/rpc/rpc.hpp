@@ -285,20 +285,26 @@ class RpcClient {
   /// Completion record for `id`, or nullptr while it is outstanding.
   /// Non-blocking and side-effect free — usable from wait_until
   /// predicates (tracked closed-loop workers watch their own ids while
-  /// another track runs the poll loop).
+  /// another track runs the poll loop). The record keeps id, status and
+  /// latency for the client's lifetime; its payload is empty once
+  /// take_completions() has handed the record over.
   const Completion* find_completion(std::uint64_t id) const {
     const auto it = done_.find(id);
     return it == done_.end() ? nullptr : &it->second;
   }
 
-  /// Block (in virtual time) until `id` completes; returns its record.
+  /// Block (in virtual time) until `id` completes; returns its record,
+  /// owned by the client. As with find_completion(), the payload is
+  /// there until take_completions() hands the record over.
   const Completion& wait(std::uint64_t id);
 
   /// Block until at least one completion newer than the last
   /// take_completions() call exists (requires work outstanding).
   void wait_some();
 
-  /// Completions (in completion order) since the previous call.
+  /// Completions (in completion order) since the previous call. Each
+  /// payload moves to the caller; the client keeps only id, status and
+  /// latency, so serving many requests holds no response bytes.
   std::vector<Completion> take_completions();
 
   /// Force-flush queued requests now (thresholds bypassed), reclaiming
@@ -441,7 +447,7 @@ class RpcClient {
   std::uint64_t expired_records_ = 0;
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, Completion> done_;
-  std::deque<const Completion*> fresh_;  // completion order, not yet taken
+  std::deque<Completion*> fresh_;  // completion order, not yet taken
   ClientStats stats_;
   LogHistogram lat_;
   std::vector<telemetry::ProbeHandle> probes_;

@@ -553,9 +553,8 @@ void RpcClient::parse_one(VirtAddr rec) {
     const VirtAddr buf = env.alloc(std::max<std::uint64_t>(blen, 64),
                                    placement::Role::RpcResponse);
     comm_->recv(buf, blen, server_, large_tag(h.id));
-    c.payload.resize(blen);
-    std::memcpy(c.payload.data(), env.host_ptr<std::uint8_t>(buf, blen),
-                blen);
+    const auto* src = env.host_ptr<std::uint8_t>(buf, blen);
+    c.payload.assign(src, src + blen);
     env.touch_stream(buf, blen);  // the application reads the response
     env.dealloc(buf);
     c.latency = env.now() - t0;  // body transfer counts toward latency
@@ -647,7 +646,9 @@ void RpcClient::wait_some() {
 std::vector<Completion> RpcClient::take_completions() {
   std::vector<Completion> out;
   out.reserve(fresh_.size());
-  for (const Completion* c : fresh_) out.push_back(*c);
+  // Moving leaves id, status and latency in the kept record; only the
+  // payload leaves.
+  for (Completion* c : fresh_) out.push_back(std::move(*c));
   fresh_.clear();
   return out;
 }

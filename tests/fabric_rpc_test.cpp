@@ -147,6 +147,46 @@ TEST(ServingFabric, SingleServerStripingStillReassembles) {
   });
 }
 
+TEST(FabricClient, TakeCompletionsHandsOverPayload) {
+  // A pass-through echo and a response striped across both servers: the
+  // client holds each payload until take_completions() moves it out,
+  // then keeps only the record's id, status and latency.
+  FabricConfig fc;
+  with_fabric(2, fc, [&](FabricClient& c, core::RankEnv&) {
+    const std::vector<std::uint8_t> msg{4, 5, 6};
+    const std::uint32_t kBulk = 32 * kKiB;
+    const std::uint64_t small = c.submit(msg, 0, rpc::Class::Latency, 1);
+    const std::uint64_t bulk = c.submit(msg, kBulk, rpc::Class::Bulk, 3);
+    ASSERT_NE(small, 0u);
+    ASSERT_NE(bulk, 0u);
+    EXPECT_EQ(c.wait(small).payload, msg);
+    const rpc::Completion& striped = c.wait(bulk);
+    ASSERT_EQ(striped.payload.size(), kBulk);
+    expect_stripe_payload(striped, 3);
+    EXPECT_EQ(c.stats().stripes, 1u);
+    EXPECT_GT(c.link(0).stats().submitted, 0u);
+    EXPECT_GT(c.link(1).stats().submitted, 0u);
+
+    const std::vector<rpc::Completion> taken = c.take_completions();
+    ASSERT_EQ(taken.size(), 2u);
+    for (const rpc::Completion& t : taken) {
+      ASSERT_TRUE(t.id == small || t.id == bulk);
+      if (t.id == small) {
+        EXPECT_EQ(t.payload, msg);
+      } else {
+        ASSERT_EQ(t.payload.size(), kBulk);
+        expect_stripe_payload(t, 3);
+      }
+      ASSERT_TRUE(c.completed(t.id));
+      const rpc::Completion& kept = c.wait(t.id);
+      EXPECT_EQ(kept.status, rpc::Status::Ok);
+      EXPECT_EQ(kept.latency, t.latency);
+      EXPECT_TRUE(kept.payload.empty()) << "id " << t.id;
+    }
+    EXPECT_TRUE(c.take_completions().empty());
+  });
+}
+
 TEST(ServingFabric, ConcurrentStripesInterleaveAcrossLinks) {
   // Several stripes in flight at once: segments of different stripes
   // complete out of order relative to submission, and the reassembly

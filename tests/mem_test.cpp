@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
 #include <set>
 
 #include "ibp/mem/physical.hpp"
@@ -163,6 +166,43 @@ TEST_F(AddressSpaceTest, HugeMappingFramesAreContiguous) {
   Mapping& m = as.map(4 * kHugePageSize, PageKind::Huge);
   for (std::size_t i = 1; i < m.frames.size(); ++i)
     EXPECT_EQ(m.frames[i], m.frames[i - 1] + kHugePageSize);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(AddressSpace, LargeMappingIsZeroAndLazy) {
+  // Host backing is lazily zeroed: mapping 512 MiB costs host memory only
+  // for the pages actually read or written.
+  constexpr std::uint64_t kLen = 512 * kMiB;
+  PhysicalMemory pm(kLen + 16 * kMiB, 1, 3);
+  AddressSpace as(&pm, nullptr);
+  [[maybe_unused]] const std::uint64_t rss0 = resident_bytes();
+  const VirtAddr base = as.map(kLen, PageKind::Small).va_base;
+  const std::uint64_t probes[] = {0, kLen / 2, kLen - 1};
+  for (std::uint64_t off : probes) {
+    EXPECT_EQ(as.host_span(base + off, 1)[0], 0) << "offset " << off;
+    as.host_span(base + off, 1)[0] = 0xa5;
+  }
+  for (std::uint64_t off : probes)
+    EXPECT_EQ(as.host_span(base + off, 1)[0], 0xa5) << "offset " << off;
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // Sanitizer allocators keep their own shadow and quarantine; the
+  // residency bound holds for the plain C library allocator only.
+  EXPECT_LT(resident_bytes(), rss0 + 64 * kMiB)
+      << "mapping must not touch every page";
+#endif
+
+  as.unmap(base);
+  const VirtAddr again = as.map(kLen, PageKind::Small).va_base;
+  for (std::uint64_t off : probes)
+    EXPECT_EQ(as.host_span(again + off, 1)[0], 0) << "offset " << off;
 }
 
 TEST(HugeTlbFs, ReserveIsUntouchable) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "ibp/core/cluster.hpp"
@@ -438,6 +439,41 @@ TEST(Rpc, LateResponseAfterRetryIsDeduplicated) {
   const ClientStats b = run();
   EXPECT_EQ(a.retries, b.retries) << "the race must be deterministic";
   EXPECT_EQ(a.duplicates, b.duplicates);
+}
+
+TEST(RpcClient, TakeCompletionsHandsOverPayload) {
+  // One slot-sized echo and one 64 KiB response on the rendezvous path:
+  // the client holds each payload until take_completions() moves it out,
+  // then keeps only the record's id, status and latency.
+  std::vector<std::uint8_t> msg(200);
+  for (std::size_t i = 0; i < msg.size(); ++i)
+    msg[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  std::vector<std::uint8_t> big_want(64 * kKiB, 0);
+  std::copy(msg.begin(), msg.end(), big_want.begin());
+  with_rpc({}, [&](RpcClient& c) {
+    const std::uint64_t small = c.submit(msg);
+    const std::uint64_t big = c.submit(msg, 64 * kKiB);
+    ASSERT_NE(small, 0u);
+    ASSERT_NE(big, 0u);
+    EXPECT_EQ(c.wait(small).payload, msg);
+    EXPECT_EQ(c.wait(big).payload, big_want);
+    EXPECT_EQ(c.stats().large_responses, 1u);
+
+    const std::vector<Completion> taken = c.take_completions();
+    ASSERT_EQ(taken.size(), 2u);
+    for (const Completion& t : taken) {
+      ASSERT_TRUE(t.id == small || t.id == big);
+      EXPECT_EQ(t.status, Status::Ok);
+      EXPECT_EQ(t.payload, t.id == small ? msg : big_want);
+      const Completion* kept = c.find_completion(t.id);
+      ASSERT_NE(kept, nullptr);
+      EXPECT_EQ(kept->status, Status::Ok);
+      EXPECT_EQ(kept->latency, t.latency);
+      EXPECT_TRUE(kept->payload.empty()) << "id " << t.id;
+      EXPECT_TRUE(c.completed(t.id));
+    }
+    EXPECT_TRUE(c.take_completions().empty());
+  });
 }
 
 // ---------------------------------------------------------------------------

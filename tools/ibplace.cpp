@@ -371,12 +371,13 @@ int cmd_nas(const std::string& kernel, const Options& o) {
   // The hugepage cluster outlives the loop so --metrics-out/--trace-out
   // can snapshot the run the table's improvement line is about.
   std::optional<core::Cluster> telemetry_cluster;
+  workloads::NasScale scale;
+  scale.scale = o.scale;
   for (int huge = 0; huge < 2; ++huge) {
     Options opt = o;
     opt.hugepages = huge != 0;
     core::Cluster& cluster = telemetry_cluster.emplace(cluster_config(opt));
-    r[huge] = workloads::run_nas(kernel, cluster,
-                                 workloads::NasScale{o.scale});
+    r[huge] = workloads::run_nas(kernel, cluster, scale);
   }
   TextTable t({"placement", "total [ms]", "comm [ms]", "other [ms]",
                "TLB misses", "verified"});
