@@ -163,6 +163,21 @@ TimePs acquire_lane(TimePs ready, TimePs duration, bool ctrl, TimePs quantum,
   bulk_busy = start + duration;
   return bulk_busy;
 }
+
+// Move one-sided payload bytes between the contiguous remote range at
+// `remote` and the local SGE list, one memmove per SGE in SGE order.
+void move_one_sided(std::uint8_t* remote, const std::vector<Sge>& sges,
+                    const std::vector<const MemoryRegion*>& mrs,
+                    bool to_remote) {
+  for (std::size_t i = 0; i < sges.size(); ++i) {
+    const Sge& s = sges[i];
+    if (s.length == 0) continue;
+    std::uint8_t* local = mrs[i]->space->host_span(s.addr, s.length).data();
+    std::memmove(to_remote ? remote : local, to_remote ? local : remote,
+                 s.length);
+    remote += s.length;
+  }
+}
 }  // namespace
 
 TimePs Adapter::acquire_tx(TimePs ready, TimePs duration, bool ctrl) {
@@ -243,6 +258,17 @@ void QueuePair::account_loss(const LossModel& loss) {
   s.retransmits += loss.retransmits;
   s.pkts_dropped += loss.dropped;
   s.pkts_corrupted += loss.corrupted;
+}
+
+void QueuePair::fail_retry_exceeded(const SendWr& wr, TimePs fail_time) {
+  Cqe cqe;
+  cqe.wr_id = wr.wr_id;
+  cqe.type = send_cqe_type(wr.opcode);
+  cqe.status = WcStatus::RetryExceeded;
+  cqe.qp_num = qp_num_;
+  cqe.ready_time = fail_time + adapter_->cfg_.cqe_write;
+  send_cq_->push(cqe);
+  enter_error(fail_time);
 }
 
 void QueuePair::check_injected_error(TimePs now) {
@@ -389,14 +415,7 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
     account_loss(loss);
     if (loss.fatal) {
       nic_busy_until_ = loss.fail_time;
-      Cqe cqe;
-      cqe.wr_id = wr.wr_id;
-      cqe.type = send_cqe_type(wr.opcode);
-      cqe.status = WcStatus::RetryExceeded;
-      cqe.qp_num = qp_num_;
-      cqe.ready_time = loss.fail_time + cfg.cqe_write;
-      send_cq_->push(cqe);
-      enter_error(loss.fail_time);
+      fail_retry_exceeded(wr, loss.fail_time);
       return cpu_cost;
     }
     transfer += loss.extra;
@@ -406,15 +425,19 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
   const TimePs tx_end = hca.acquire_tx(nic_start + nic_proc, transfer, ctrl);
   nic_busy_until_ = tx_end;
 
-  // Stage payload bytes (gather from sender memory now; the sender may
-  // reuse its buffer after polling the completion).
+  // Stage a Send's payload: gather it from sender memory now, because the
+  // sender may reuse its buffer after polling the completion while the
+  // matching receive may not be posted yet. An RDMA write stages nothing;
+  // its bytes go straight from the source SGEs into the target below.
   StagedMsg msg;
-  msg.data.reserve(bytes);
-  for (std::size_t i = 0; i < wr.sges.size(); ++i) {
-    const auto& s = wr.sges[i];
-    if (s.length == 0) continue;
-    auto src = mrs[i]->space->host_span(s.addr, s.length);
-    msg.data.insert(msg.data.end(), src.begin(), src.end());
+  if (wr.opcode == Opcode::Send) {
+    msg.data.reserve(bytes);
+    for (std::size_t i = 0; i < wr.sges.size(); ++i) {
+      const auto& s = wr.sges[i];
+      if (s.length == 0) continue;
+      auto src = mrs[i]->space->host_span(s.addr, s.length);
+      msg.data.insert(msg.data.end(), src.begin(), src.end());
+    }
   }
   msg.has_imm = wr.has_imm;
   msg.imm = wr.imm;
@@ -466,10 +489,9 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
     if (!ud_lost) dst->deliver(std::move(msg));
   } else {
     hca.stats_.rdma_writes_posted += 1;
-    if (bytes != 0) {
-      auto placed = rmr->space->host_span(wr.remote_addr, bytes);
-      std::copy(msg.data.begin(), msg.data.end(), placed.begin());
-    }
+    if (bytes != 0)
+      move_one_sided(rmr->space->host_span(wr.remote_addr, bytes).data(),
+                     wr.sges, mrs, /*to_remote=*/true);
     // A monitored target learns when the write becomes visible in virtual
     // time (fatally lost writes return above: no bytes, no event).
     if (rmr->monitor != nullptr)
@@ -480,7 +502,6 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
       // receive at the peer is consumed to surface the immediate.
       msg.write_imm = true;
       msg.write_len = static_cast<std::uint32_t>(bytes);
-      msg.data.clear();
       dst->deliver(std::move(msg));
     }
   }
@@ -530,14 +551,7 @@ TimePs QueuePair::post_rdma_read(const SendWr& wr, TimePs now) {
     account_loss(loss);
     if (loss.fatal) {
       nic_busy_until_ = loss.fail_time;
-      Cqe cqe;
-      cqe.wr_id = wr.wr_id;
-      cqe.type = CqeType::RdmaReadComplete;
-      cqe.status = WcStatus::RetryExceeded;
-      cqe.qp_num = qp_num_;
-      cqe.ready_time = loss.fail_time + cfg.cqe_write;
-      send_cq_->push(cqe);
-      enter_error(loss.fail_time);
+      fail_retry_exceeded(wr, loss.fail_time);
       return cpu_cost;
     }
     req_send += loss.extra;
@@ -578,14 +592,7 @@ TimePs QueuePair::post_rdma_read(const SendWr& wr, TimePs now) {
     account_loss(loss);
     if (loss.fatal) {
       nic_busy_until_ = req_end;
-      Cqe cqe;
-      cqe.wr_id = wr.wr_id;
-      cqe.type = CqeType::RdmaReadComplete;
-      cqe.status = WcStatus::RetryExceeded;
-      cqe.qp_num = qp_num_;
-      cqe.ready_time = loss.fail_time + cfg.cqe_write;
-      send_cq_->push(cqe);
-      enter_error(loss.fail_time);
+      fail_retry_exceeded(wr, loss.fail_time);
       return cpu_cost;
     }
     transfer += loss.extra;
@@ -598,18 +605,9 @@ TimePs QueuePair::post_rdma_read(const SendWr& wr, TimePs now) {
       resp_end - transfer + cfg.wire_latency, transfer, ctrl);
 
   // Move the bytes (remote source -> local destination SGEs).
-  if (bytes != 0) {
-    auto src = rmr->space->host_span(wr.remote_addr, bytes);
-    std::uint64_t off = 0;
-    for (std::size_t i = 0; i < wr.sges.size(); ++i) {
-      const auto& sge = wr.sges[i];
-      if (sge.length == 0) continue;
-      auto dst = mrs[i]->space->host_span(sge.addr, sge.length);
-      std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(off), sge.length,
-                  dst.begin());
-      off += sge.length;
-    }
-  }
+  if (bytes != 0)
+    move_one_sided(rmr->space->host_span(wr.remote_addr, bytes).data(),
+                   wr.sges, mrs, /*to_remote=*/false);
 
   rhca.stats_.bytes_tx += bytes;
   hca.stats_.rdma_reads_posted += 1;

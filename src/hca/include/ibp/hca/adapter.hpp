@@ -9,10 +9,16 @@
 //
 // Everything is computed synchronously inside the posting rank's turn:
 // the adapter derives completion timestamps from its cost model and link /
-// QP busy-tracking, stages payload bytes, and pushes CQEs that become
+// QP busy-tracking, moves payload bytes, and pushes CQEs that become
 // pollable at their ready time. Because the engine executes ranks in
-// global virtual-time order, writing receiver host memory at staging time
+// global virtual-time order, writing receiver host memory at post time
 // is safe for any program that reads only after observing the completion.
+//
+// Host byte movement follows the hardware. One-sided operations (RDMA
+// write, RDMA read) move each payload byte once, straight between the
+// source and the target memory, as a real HCA streams them. Only a
+// two-sided Send stages its payload in a buffer, because the matching
+// receive may not be posted yet.
 
 #include <cstdint>
 #include <deque>
@@ -37,7 +43,7 @@ class Adapter;
 
 /// Visibility gate for one-sided writes into a monitored memory region.
 ///
-/// The simulation stages RDMA-write payload bytes into the target host
+/// The simulation places RDMA-write payload bytes into the target host
 /// memory synchronously at post time, while the transfer's virtual arrival
 /// is later. A two-sided receiver never notices (it reads only after its
 /// completion), but a memory-*polling* receiver — a ring channel that
@@ -144,6 +150,18 @@ class QueuePair {
   /// Post a send-side work request at virtual time `now`. Returns the
   /// CPU-side cost the caller must advance() by; all NIC/wire/completion
   /// timing is recorded in the CQs.
+  ///
+  /// One-sided payloads move once, with one memmove per local SGE in SGE
+  /// order at the running offset of the contiguous remote range. An RDMA
+  /// write copies each source SGE straight into the target; an RDMA read
+  /// copies the remote range straight into the destination SGEs. This is
+  /// exactly the gather-then-place result whenever no source overlaps the
+  /// target, and for a single-SGE operation even when it does (memmove
+  /// semantics). A multi-SGE write whose later source overlaps bytes that
+  /// an earlier SGE already placed is undefined on a real HCA; here it
+  /// gives the per-SGE memmove result. Only a loopback QP inside one
+  /// AddressSpace can build that case: cluster QPs always connect
+  /// different nodes.
   TimePs post_send(const SendWr& wr, TimePs now);
 
   /// Post a receive work request at `now`; returns CPU-side cost.
@@ -171,6 +189,8 @@ class QueuePair {
         type_(type) {}
 
   struct StagedMsg {
+    // Two-sided Send payload, gathered at post time. Empty for
+    // write-with-immediate, whose bytes were placed one-sided.
     std::vector<std::uint8_t> data;
     TimePs arrival = 0;  // fully received at the peer HCA
     bool has_imm = false;
@@ -214,6 +234,9 @@ class QueuePair {
                           NodeId dst_node);
   TimePs retransmit_backoff(std::uint32_t attempt) const;
   void account_loss(const LossModel& loss);
+  /// Fail a send-side WR whose retry budget ran out at `fail_time`: push
+  /// its RetryExceeded CQE and move the QP to the error state.
+  void fail_retry_exceeded(const SendWr& wr, TimePs fail_time);
   /// Fire a pending injected one-shot QP error, if any.
   void check_injected_error(TimePs now);
   /// Move to the error state: flush posted receives, fail senders whose

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "ibp/hca/completion_queue.hpp"
 
 namespace ibp::hca {
@@ -381,6 +385,138 @@ TEST(RdmaWrite, OutOfBoundsRemoteThrows) {
   wr.remote_addr = mb.va_base;  // 4096 bytes into a 2048-byte region
   wr.rkey = rb.mr->lkey;
   EXPECT_THROW(t.qa->post_send(wr, 0), SimError);
+}
+
+// Fill `len` bytes at `va` with a pattern distinct per `salt`.
+void fill_pattern(mem::AddressSpace& as, VirtAddr va, std::uint64_t len,
+                  std::uint8_t salt) {
+  auto s = as.host_span(va, len);
+  for (std::size_t i = 0; i < s.size(); ++i)
+    s[i] = static_cast<std::uint8_t>(i * 7 + salt + (i >> 8));
+}
+
+// The bytes of `sges` in SGE order, read from `as`.
+std::vector<std::uint8_t> gather(mem::AddressSpace& as,
+                                 const std::vector<Sge>& sges) {
+  std::vector<std::uint8_t> out;
+  for (const auto& s : sges) {
+    if (s.length == 0) continue;
+    auto src = as.host_span(s.addr, s.length);
+    out.insert(out.end(), src.begin(), src.end());
+  }
+  return out;
+}
+
+TEST(RdmaWrite, GathersSgesInOrder) {
+  TwoNodes t;
+  auto& m1 = t.as_a.map(4 * kSmallPageSize, mem::PageKind::Small);
+  auto& m2 = t.as_a.map(4 * kSmallPageSize, mem::PageKind::Small);
+  auto& mb = t.as_b.map(4 * kSmallPageSize, mem::PageKind::Small);
+  const auto r1 =
+      t.a.reg_mr(t.as_a, m1.va_base, 4 * kSmallPageSize, kSmallPageSize);
+  const auto r2 =
+      t.a.reg_mr(t.as_a, m2.va_base, 4 * kSmallPageSize, kSmallPageSize);
+  const auto rb =
+      t.b.reg_mr(t.as_b, mb.va_base, 4 * kSmallPageSize, kSmallPageSize);
+  fill_pattern(t.as_a, m1.va_base, 4 * kSmallPageSize, 1);
+  fill_pattern(t.as_a, m2.va_base, 4 * kSmallPageSize, 101);
+  auto target = t.as_b.host_span(mb.va_base, 4 * kSmallPageSize);
+  std::fill(target.begin(), target.end(), std::uint8_t{0xEE});
+
+  // MR 2, then an empty SGE, then MR 1 across a page boundary.
+  SendWr wr;
+  wr.wr_id = 31;
+  wr.opcode = Opcode::RdmaWrite;
+  wr.sges = {{m2.va_base + 40, 300, r2.mr->lkey},
+             {m1.va_base + 8, 0, r1.mr->lkey},
+             {m1.va_base + kSmallPageSize - 77, 1000, r1.mr->lkey}};
+  const std::uint64_t off = 333;  // unaligned remote offset
+  wr.remote_addr = mb.va_base + off;
+  wr.rkey = rb.mr->lkey;
+  t.qa->post_send(wr, 0);
+
+  const auto cqe = t.a_scq.poll(ms(10));
+  ASSERT_TRUE(cqe);
+  EXPECT_EQ(cqe->status, CqeStatus::Success);
+  EXPECT_EQ(cqe->byte_len, 1300u);
+  const auto want = gather(t.as_a, wr.sges);
+  ASSERT_EQ(want.size(), 1300u);
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(target[off + i], want[i]) << "byte " << i;
+  EXPECT_EQ(target[off - 1], 0xEE);
+  EXPECT_EQ(target[off + want.size()], 0xEE);
+}
+
+TEST(RdmaWrite, WriteWithImmediateGathersSges) {
+  TwoNodes t;
+  auto& ma = t.as_a.map(4 * kSmallPageSize, mem::PageKind::Small);
+  auto& mb = t.as_b.map(4 * kSmallPageSize, mem::PageKind::Small);
+  const auto ra =
+      t.a.reg_mr(t.as_a, ma.va_base, 4 * kSmallPageSize, kSmallPageSize);
+  const auto rb =
+      t.b.reg_mr(t.as_b, mb.va_base, 4 * kSmallPageSize, kSmallPageSize);
+  fill_pattern(t.as_a, ma.va_base, 4 * kSmallPageSize, 9);
+  auto recv_buf = t.as_b.host_span(mb.va_base, 256);
+  std::fill(recv_buf.begin(), recv_buf.end(), std::uint8_t{0x77});
+
+  RecvWr rwr;
+  rwr.wr_id = 71;
+  rwr.sges = {{mb.va_base, 256, rb.mr->lkey}};
+  t.qb->post_recv(rwr, 0);
+
+  SendWr wr;
+  wr.opcode = Opcode::RdmaWrite;
+  wr.has_imm = true;
+  wr.imm = 0xBEEF;
+  wr.sges = {{ma.va_base + 3 * kSmallPageSize, 500, ra.mr->lkey},
+             {ma.va_base + 10, 700, ra.mr->lkey}};
+  wr.remote_addr = mb.va_base + 2 * kSmallPageSize + 5;
+  wr.rkey = rb.mr->lkey;
+  t.qa->post_send(wr, 0);
+
+  const auto rcqe = t.b_rcq.poll(ms(10));
+  ASSERT_TRUE(rcqe);
+  EXPECT_EQ(rcqe->wr_id, 71u);
+  EXPECT_EQ(rcqe->status, CqeStatus::Success);
+  EXPECT_TRUE(rcqe->has_imm);
+  EXPECT_EQ(rcqe->imm, 0xBEEFu);
+  EXPECT_EQ(rcqe->byte_len, 1200u);
+  const auto want = gather(t.as_a, wr.sges);
+  auto placed = t.as_b.host_span(wr.remote_addr, want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(placed[i], want[i]) << "byte " << i;
+  for (std::size_t i = 0; i < recv_buf.size(); ++i)
+    ASSERT_EQ(recv_buf[i], 0x77) << "receive buffer byte " << i;
+}
+
+TEST(RdmaWrite, LoopbackOverlapActsLikeMemmove) {
+  // Two QPs on one adapter and one address space: the only way to make a
+  // write's source overlap its target.
+  TwoNodes t;
+  QueuePair& qx = t.a.create_qp(&t.a_scq, &t.a_rcq);
+  QueuePair& qy = t.a.create_qp(&t.b_scq, &t.b_rcq);
+  qx.connect(&qy);
+  qy.connect(&qx);
+  auto& m = t.as_a.map(4 * kSmallPageSize, mem::PageKind::Small);
+  const auto r =
+      t.a.reg_mr(t.as_a, m.va_base, 4 * kSmallPageSize, kSmallPageSize);
+  fill_pattern(t.as_a, m.va_base, 4 * kSmallPageSize, 3);
+  auto mem = t.as_a.host_span(m.va_base, 4 * kSmallPageSize);
+  std::vector<std::uint8_t> want(mem.begin(), mem.end());
+  std::memmove(want.data() + 100, want.data(), 4096);
+
+  SendWr wr;
+  wr.opcode = Opcode::RdmaWrite;
+  wr.sges = {{m.va_base, 4096, r.mr->lkey}};
+  wr.remote_addr = m.va_base + 100;
+  wr.rkey = r.mr->lkey;
+  qx.post_send(wr, 0);
+
+  const auto cqe = t.a_scq.poll(ms(10));
+  ASSERT_TRUE(cqe);
+  EXPECT_EQ(cqe->byte_len, 4096u);
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(mem[i], want[i]) << "byte " << i;
 }
 
 TEST(AttCache, TranslationReuseHitsAfterWarmup) {
