@@ -84,10 +84,6 @@ Cluster::Cluster(ClusterConfig cfg)
   for (int r = 0; r < nranks; ++r) {
     Node& nd = *nodes_[static_cast<std::size_t>(r / cfg_.ranks_per_node)];
     ranks_.push_back(std::make_unique<RankState>(nd, cfg_, r));
-    RankState& rs = *ranks_.back();
-    rs.ud_qp = &nd.adapter.create_qp(&rs.send_cq, &rs.recv_cq,
-                                     hca::QpType::UD);
-    rs.ud_qp->set_attrs(cfg_.driver.qp);
   }
 
   // Wiring. Inter-node pairs get an RC QP pair; same-node pairs get a

@@ -114,8 +114,6 @@ struct MemoryRegion {
   }
 };
 
-enum class QpType : std::uint8_t { RC, UD };
-
 /// QP lifecycle, collapsed to the two states the model distinguishes.
 /// (Real verbs walk RESET→INIT→RTR→RTS; connect() stands in for that.)
 enum class QpState : std::uint8_t { Ready, Error };
@@ -124,7 +122,6 @@ class QueuePair {
  public:
   std::uint32_t qp_num() const { return qp_num_; }
   Adapter& adapter() { return *adapter_; }
-  QpType type() const { return type_; }
   QpState state() const { return state_; }
 
   /// RC reliability attributes (modify_qp equivalent). Consulted only when
@@ -141,7 +138,6 @@ class QueuePair {
 
   /// Wire this QP to its RC peer (both directions must be connected).
   void connect(QueuePair* peer) {
-    IBP_CHECK(type_ == QpType::RC, "UD QPs are connectionless");
     IBP_CHECK(peer != nullptr && peer != this);
     peer_ = peer;
   }
@@ -181,12 +177,8 @@ class QueuePair {
  private:
   friend class Adapter;
   QueuePair(Adapter* adapter, std::uint32_t num, CompletionQueue* scq,
-            CompletionQueue* rcq, QpType type)
-      : adapter_(adapter),
-        qp_num_(num),
-        send_cq_(scq),
-        recv_cq_(rcq),
-        type_(type) {}
+            CompletionQueue* rcq)
+      : adapter_(adapter), qp_num_(num), send_cq_(scq), recv_cq_(rcq) {}
 
   struct StagedMsg {
     // Two-sided Send payload, gathered at post time. Empty for
@@ -249,7 +241,6 @@ class QueuePair {
   std::uint32_t qp_num_;
   CompletionQueue* send_cq_;
   CompletionQueue* recv_cq_;
-  QpType type_ = QpType::RC;
   QpState state_ = QpState::Ready;
   QpAttrs attrs_;
   QpStats qp_stats_;
@@ -329,8 +320,7 @@ class Adapter {
     it->second->monitor = mon;
   }
 
-  QueuePair& create_qp(CompletionQueue* send_cq, CompletionQueue* recv_cq,
-                       QpType type = QpType::RC);
+  QueuePair& create_qp(CompletionQueue* send_cq, CompletionQueue* recv_cq);
 
   std::uint64_t att_capacity() const { return att_.capacity(); }
 

@@ -60,32 +60,44 @@ std::uint8_t payload_byte(std::uint32_t seq, std::uint64_t i) {
 }
 
 struct FuzzParam {
+  FuzzParam(int nodes_, int rpn_, bool hugepages_, bool rndv_read_,
+            std::uint64_t seed_, bool rdma_eager_ = false)
+      : nodes(nodes_),
+        rpn(rpn_),
+        hugepages(hugepages_),
+        rndv_read(rndv_read_),
+        seed(seed_),
+        rdma_eager(rdma_eager_) {}
+
   int nodes;
   int rpn;
   bool hugepages;
   bool rndv_read;
+  // gtest prints this parameter as its raw bytes and ctest names each case
+  // after that printout; spelled-out zero padding keeps the names stable
+  // instead of echoing whatever the padding happened to hold.
+  std::uint8_t padding0[6] = {};
   std::uint64_t seed;
-  bool ud_eager = false;
-  bool rdma_eager = false;
+  bool rdma_eager;
+  std::uint8_t padding1[7] = {};
 };
+static_assert(sizeof(FuzzParam) == 32);
 
 class MpiFuzz : public ::testing::TestWithParam<FuzzParam> {};
 
 TEST_P(MpiFuzz, RandomTrafficMatchesOracle) {
-  const auto [nodes, rpn, hugepages, rndv_read, seed, ud_eager, rdma_eager] =
-      GetParam();
-  const int nranks = nodes * rpn;
-  const Plan plan = make_plan(nranks, seed, 60);
+  const FuzzParam& p = GetParam();
+  const int nranks = p.nodes * p.rpn;
+  const Plan plan = make_plan(nranks, p.seed, 60);
 
   core::ClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.ranks_per_node = rpn;
-  cfg.hugepage_library = hugepages;
+  cfg.nodes = p.nodes;
+  cfg.ranks_per_node = p.rpn;
+  cfg.hugepage_library = p.hugepages;
   core::Cluster cluster(cfg);
   CommConfig ccfg;
-  ccfg.rndv_read = rndv_read;
-  ccfg.ud_eager = ud_eager;
-  ccfg.rdma_eager = rdma_eager;
+  ccfg.rndv_read = p.rndv_read;
+  ccfg.rdma_eager = p.rdma_eager;
 
   cluster.run([&](core::RankEnv& env) {
     Comm comm(env, ccfg);
@@ -142,20 +154,20 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{2, 3, true, false, 6},
                       FuzzParam{2, 1, false, true, 7},
                       FuzzParam{3, 2, false, false, 8},
-                      FuzzParam{2, 2, false, false, 9, true},
-                      FuzzParam{2, 4, true, false, 10, true},
-                      FuzzParam{2, 1, false, true, 11, true},
-                      FuzzParam{3, 2, false, false, 12, true},
-                      FuzzParam{2, 1, false, false, 13, false, true},
-                      FuzzParam{2, 2, false, false, 14, false, true},
-                      FuzzParam{2, 4, true, false, 15, false, true},
-                      FuzzParam{3, 2, true, true, 16, false, true}),
+                      FuzzParam{2, 2, false, false, 9},
+                      FuzzParam{2, 4, true, false, 10},
+                      FuzzParam{2, 1, false, true, 11},
+                      FuzzParam{3, 2, false, false, 12},
+                      FuzzParam{2, 1, false, false, 13, true},
+                      FuzzParam{2, 2, false, false, 14, true},
+                      FuzzParam{2, 4, true, false, 15, true},
+                      FuzzParam{3, 2, true, true, 16, true}),
     [](const auto& info) {
       const auto& p = info.param;
       return std::to_string(p.nodes) + "x" + std::to_string(p.rpn) +
              (p.hugepages ? "_huge" : "_small") +
              (p.rndv_read ? "_read" : "_write") +
-             (p.ud_eager ? "_ud" : "") + (p.rdma_eager ? "_ring" : "") +
+             (p.rdma_eager ? "_ring" : "") +
              "_s" + std::to_string(p.seed);
     });
 

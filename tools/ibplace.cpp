@@ -99,7 +99,6 @@ struct Options {
   hca::ShareMode share_mode = hca::ShareMode::SharedLocked;  // rpc: QP/CQ
                                                              // sharing
   bool rdma_eager = false;  // rpc/fabric: one-sided ring channels
-  bool ud_eager = false;    // rpc/fabric: hybrid UD datagram tier
 };
 
 [[noreturn]] void usage(const char* msg = nullptr) {
@@ -124,7 +123,7 @@ struct Options {
                "         --placement-role=ROLE=POLICY (repeatable)\n"
                "         --fault=SPEC --fault-file=PATH\n"
                "         --recovery=failfast|repost\n"
-               "         --rdma-eager=0|1 --ud-eager=0|1 (rpc/fabric)\n"
+               "         --rdma-eager=0|1 (rpc/fabric)\n"
                "         --metrics-out=PATH --trace-out=PATH\n"
                "         --metrics-filter=PREFIX --json=PATH\n"
                "         --request-trace-out=PATH\n"
@@ -200,8 +199,6 @@ Options parse_options(int argc, char** argv, int first) {
       o.threads = std::atoi(v.c_str());
     } else if (parse_flag(argv[i], "--rdma-eager", &v)) {
       o.rdma_eager = v == "1";
-    } else if (parse_flag(argv[i], "--ud-eager", &v)) {
-      o.ud_eager = v == "1";
     } else if (parse_flag(argv[i], "--share-mode", &v)) {
       if (!hca::share_mode_from_name(v, &o.share_mode))
         usage(("unknown share mode '" + v +
@@ -444,7 +441,6 @@ loadgen::GenResult run_rpc_once(const Options& o, bool open, bool batching,
     mpi::CommConfig mc;
     mc.sge_gather = true;
     mc.rdma_eager = o.rdma_eager;
-    mc.ud_eager = o.ud_eager;
     mc.recovery = o.recovery == "repost" ? mpi::CommConfig::Recovery::Repost
                                          : mpi::CommConfig::Recovery::FailFast;
     mpi::Comm comm(env, mc);
@@ -634,7 +630,6 @@ int cmd_fabric(const Options& o) {
     mpi::CommConfig mc;
     mc.sge_gather = true;
     mc.rdma_eager = o.rdma_eager;
-    mc.ud_eager = o.ud_eager;
     mc.recovery = o.recovery == "repost" ? mpi::CommConfig::Recovery::Repost
                                          : mpi::CommConfig::Recovery::FailFast;
     mpi::Comm comm(env, mc);
