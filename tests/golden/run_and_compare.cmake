@@ -1,8 +1,9 @@
 # Runs a bench with --short --json=<tmp> and byte-compares the JSON
 # against a checked-in golden file. The rpc_loadgen_t1_golden test pins
 # the T=1 / single-track RPC loadgen output; thread_scale_golden pins the
-# multi-track schedules of ext_thread_scale. A refactor that must not
-# change results keeps both byte-identical.
+# multi-track schedules of ext_thread_scale; fig4_golden pins the
+# per-offset work-request durations of fig4_offset_latency. A refactor
+# that must not change results keeps all of them byte-identical.
 #
 # Arguments (via -D):
 #   BIN     — bench executable

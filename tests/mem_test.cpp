@@ -6,6 +6,8 @@
 
 #include <fstream>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "ibp/mem/physical.hpp"
 
@@ -59,6 +61,107 @@ TEST(PhysicalMemory, FreeReturnsFrames) {
   const PhysAddr h = pm.alloc_huge_frame();
   pm.free_huge_frame(h);
   EXPECT_EQ(pm.huge_frames_free(), 2u);
+}
+
+// The frame sequence PhysicalMemory must reproduce: every small frame
+// listed, Fisher–Yates shuffled up front, popped from the back; freed
+// frames pushed onto the back.
+class EagerFrames {
+ public:
+  EagerFrames(std::uint64_t total_bytes, std::uint64_t seed) {
+    const std::uint64_t n = total_bytes / kSmallPageSize;
+    for (std::uint64_t i = 0; i < n; ++i) free_.push_back(i * kSmallPageSize);
+    Rng rng(seed ^ 0x5eedf00dull);
+    for (std::uint64_t i = n; i > 1; --i)
+      std::swap(free_[i - 1], free_[rng.next_below(i)]);
+  }
+  PhysAddr alloc() {
+    const PhysAddr pa = free_.back();
+    free_.pop_back();
+    return pa;
+  }
+  void free(PhysAddr pa) { free_.push_back(pa); }
+  std::uint64_t free_count() const { return free_.size(); }
+
+ private:
+  std::vector<PhysAddr> free_;
+};
+
+TEST(PhysicalMemory, LazyPermutationMatchesEagerReference) {
+  for (std::uint64_t seed : {1u, 7u, 42u, 99u}) {
+    for (std::uint64_t bytes : {1 * kMiB, 16 * kMiB, 64 * kMiB}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", "
+                                      << bytes / kMiB << " MiB");
+      PhysicalMemory pm(bytes, 0, seed);
+      EagerFrames ref(bytes, seed);
+      Rng ops(seed * 31 + bytes);
+      std::vector<PhysAddr> held;
+      // Seeded interleaving of allocations and frees, then a full drain.
+      for (int step = 0; step < 20000; ++step) {
+        if (!held.empty() && ops.next_below(5) < 2) {
+          const std::size_t k = ops.next_below(held.size());
+          pm.free_small_frame(held[k]);
+          ref.free(held[k]);
+          held[k] = held.back();
+          held.pop_back();
+        } else if (ref.free_count() > 0) {
+          const PhysAddr pa = pm.alloc_small_frame();
+          ASSERT_EQ(pa, ref.alloc()) << "step " << step;
+          held.push_back(pa);
+        }
+        ASSERT_EQ(pm.small_frames_free(), ref.free_count())
+            << "step " << step;
+      }
+      while (ref.free_count() > 0) {
+        ASSERT_EQ(pm.alloc_small_frame(), ref.alloc());
+        ASSERT_EQ(pm.small_frames_free(), ref.free_count());
+      }
+      EXPECT_THROW(pm.alloc_small_frame(), SimError);
+    }
+  }
+}
+
+TEST(PhysicalMemory, FrameSequencePinned) {
+  // The first frames of a default-sized (2 GiB) node and the full order of
+  // tiny memories, as the up-front shuffle produced them. Bench outputs
+  // depend on the scatter rather than this exact order, so this pins it.
+  PhysicalMemory pm(2 * kGiB, 0, 42);
+  const PhysAddr first[32] = {
+      0x9bf2000,  0x7ace5000, 0x13261000, 0x5d4c0000, 0x238dd000, 0x66a44000,
+      0x7f9f3000, 0x63cf5000, 0x1e56a000, 0x6d1ee000, 0x3d145000, 0x625c2000,
+      0x858d000,  0x451f6000, 0x5aecd000, 0x75392000, 0x7a42d000, 0x46647000,
+      0x5830d000, 0x71265000, 0x5fc42000, 0x7c431000, 0x7dc2d000, 0x5cd74000,
+      0x1b2ae000, 0x68ff8000, 0x3628000,  0x43628000, 0x29728000, 0x1be2000,
+      0xf8c7000,  0x22da7000};
+  for (PhysAddr want : first) EXPECT_EQ(pm.alloc_small_frame(), want);
+
+  const std::uint64_t drains[4][16] = {
+      {8, 3, 0, 2, 12, 7, 4, 11, 14, 6, 13, 10, 1, 5, 15, 9},
+      {11, 5, 3, 13, 9, 2, 0, 4, 14, 15, 12, 7, 8, 6, 1, 10},
+      {5, 4, 7, 2, 12, 3, 14, 10, 8, 6, 13, 0, 1, 9, 11, 15},
+      {0, 11, 9, 14, 13, 6, 1, 4, 2, 8, 10, 3, 12, 5, 15, 7}};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    PhysicalMemory tiny(16 * kSmallPageSize, 0, seed);
+    for (std::uint64_t frame : drains[seed - 1])
+      EXPECT_EQ(tiny.alloc_small_frame(), frame * kSmallPageSize)
+          << "seed " << seed;
+  }
+}
+
+TEST(PhysicalMemory, HugeRamConstructsLazily) {
+  // 1 TiB of small pages: a frame list built up front would take 2 GiB.
+  const std::uint64_t bytes = 1024 * kGiB;
+  PhysicalMemory pm(bytes, 0, 5);
+  const std::uint64_t total = bytes / kSmallPageSize;
+  EXPECT_EQ(pm.small_frames_total(), total);
+  std::set<PhysAddr> seen;
+  for (int i = 0; i < 1000; ++i) {
+    const PhysAddr pa = pm.alloc_small_frame();
+    EXPECT_EQ(pa % kSmallPageSize, 0u);
+    EXPECT_LT(pa, bytes);
+    EXPECT_TRUE(seen.insert(pa).second) << "duplicate frame";
+  }
+  EXPECT_EQ(pm.small_frames_free(), total - 1000);
 }
 
 class AddressSpaceTest : public ::testing::Test {

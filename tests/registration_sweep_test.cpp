@@ -15,12 +15,17 @@ struct RegCase {
   std::uint64_t bytes;
   mem::PageKind kind;
   bool patched;  // ship native translations for hugepage mappings
+  // gtest prints the raw bytes of the param into each test's name, padding
+  // included; spelled-out zero padding keeps the names stable instead of
+  // echoing whatever the padding happened to hold.
+  std::uint8_t padding[6] = {};
 };
+static_assert(sizeof(RegCase) == 16);
 
 class RegSweep : public ::testing::TestWithParam<RegCase> {};
 
 TEST_P(RegSweep, CostDecomposesExactly) {
-  const auto [bytes, kind, patched] = GetParam();
+  const auto [bytes, kind, patched, padding] = GetParam();
   const auto plat = platform::opteron_pcie_infinihost();
   mem::PhysicalMemory pm(512 * kMiB, 128, 3);
   mem::HugeTlbFs fs(&pm, 128, 0);
